@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use vehigan_core::{build_critic, WganConfig};
-use vehigan_lite::{Int8Ensemble, LiteCritic};
+use vehigan_lite::{Int8Ensemble, Int8Scratch, LiteCritic};
 use vehigan_tensor::gemm::{gemm_i8, gemm_i8_portable, naive_i8, PackedI8};
 use vehigan_tensor::init::{rand_uniform, seeded_rng};
 
@@ -87,14 +87,21 @@ fn bench_fused_ensemble(c: &mut Criterion) {
             .collect();
         let snaps: Vec<_> = critics.iter().map(|m| m.save()).collect();
         let refs: Vec<&_> = snaps.iter().collect();
-        let mut fused =
-            Int8Ensemble::compile(&refs, shape, calibration.as_slice()).expect("compiles");
+        let fused = Int8Ensemble::compile(&refs, shape, calibration.as_slice()).expect("compiles");
+        let mut scratch = Int8Scratch::default();
         let subset: Vec<usize> = (0..k).collect();
         let mut scores = vec![0.0f32; k];
         let mut group = c.benchmark_group("fused_ensemble");
         group.bench_function(format!("k{k}"), |b| {
             b.iter(|| {
-                fused.score_subset_into(&subset, black_box(&flat), 1, &mut scores);
+                let mut per_member: Vec<&mut [f32]> = scores.chunks_mut(1).collect();
+                fused.score_subset_into(
+                    &mut scratch,
+                    &subset,
+                    black_box(&flat),
+                    1,
+                    &mut per_member,
+                );
                 black_box(scores[0])
             })
         });

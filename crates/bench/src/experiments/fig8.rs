@@ -9,7 +9,7 @@
 use crate::harness::write_csv;
 use std::time::Instant;
 use vehigan_core::{build_critic, WganConfig};
-use vehigan_lite::{Int8Ensemble, LiteCritic};
+use vehigan_lite::{Int8Ensemble, Int8Scratch, LiteCritic};
 use vehigan_tensor::init::{rand_uniform, seeded_rng};
 
 /// Critic depths swept by the paper (§IV-A.1).
@@ -56,8 +56,9 @@ pub fn run() {
             &mut seeded_rng(layers as u64 + 80),
         );
         let snap = critic.save();
-        let mut quant = Int8Ensemble::compile(&[&snap], shape, calibration.as_slice())
+        let quant = Int8Ensemble::compile(&[&snap], shape, calibration.as_slice())
             .expect("critic quantizes");
+        let mut scratch = Int8Scratch::default();
         let x = rand_uniform(&[1, config.window, config.features, 1], -1.0, 1.0, &mut rng);
         let flat: Vec<f32> = x.as_slice().to_vec();
         let mut score = [0.0f32; 1];
@@ -76,7 +77,7 @@ pub fn run() {
         );
         let quant_ms = time_ms(
             || {
-                quant.score_subset_into(&[0], &flat, 1, &mut score);
+                quant.score_subset_into(&mut scratch, &[0], &flat, 1, &mut [&mut score[..]]);
             },
             500,
         );

@@ -18,25 +18,48 @@
 //! come back non-finite is dropped from the reduction and recorded in
 //! [`EnsembleScore::dropped`]; only when every deployed member fails does
 //! scoring return [`EnsembleError::AllMembersFailed`].
+//!
+//! # Row-parallel scoring
+//!
+//! A batch's rows are independent (per-window activation scales, exact
+//! integer GEMM), so [`VehiGan::score_with_members_int8`] splits each
+//! batch into contiguous row chunks, one per worker, and every worker
+//! runs every topology group on its chunk. Rows rather than members:
+//! the deployed subset is a few members in uneven topology groups, while
+//! a tile has a hundred-odd rows that split evenly. The compiled groups
+//! are immutable and shared; each worker borrows its own
+//! [`Int8Scratch`]. The non-finite drop decision and chaos poisoning
+//! look at the stitched whole batch, so scores, `members` and `dropped`
+//! are bitwise identical to scoring serially.
 
 use crate::ensemble::{EnsembleError, EnsembleScore, VehiGan};
 use parking_lot::Mutex;
-use vehigan_lite::Int8Ensemble;
+use vehigan_lite::{Int8Ensemble, Int8Scratch};
 use vehigan_tensor::Tensor;
 
 /// Structural topology key of one critic: per-layer `(kind, usize_attrs)`,
 /// weights excluded. Members with equal keys fuse into one scorer.
 type TopologyKey = Vec<(String, Vec<(String, usize)>)>;
 
+/// Fewest rows a worker is given: a batch below `2 ×` this is scored
+/// serially on the calling thread, so single-snapshot scoring never
+/// spawns a thread.
+const MIN_ROWS_PER_WORKER: usize = 8;
+
 /// Compiled int8 scorers for a [`VehiGan`]'s members, grouped by critic
 /// topology.
 pub struct Int8Backend {
-    /// One fused scorer per topology group.
-    groups: Vec<Mutex<Int8Ensemble>>,
+    /// One fused scorer per topology group, compiled once and shared by
+    /// every worker.
+    groups: Vec<Int8Ensemble>,
     /// `member index → (group, local index within the group)`.
     member_map: Vec<(usize, usize)>,
     /// Flat snapshot length each scorer expects.
     input_len: usize,
+    /// One activation scratch per worker (`available_parallelism` at
+    /// compile time). Worker `w` of a call locks slot `w`, so the lock
+    /// is uncontended unless two callers score at once.
+    scratch: Vec<Mutex<Int8Scratch>>,
 }
 
 impl std::fmt::Debug for Int8Backend {
@@ -65,38 +88,95 @@ impl Int8Backend {
     /// Total packed int8 weight bytes — the deployable artifact size,
     /// roughly 4× smaller than the float weights.
     pub fn weight_bytes(&self) -> usize {
-        self.groups.iter().map(|g| g.lock().weight_bytes()).sum()
+        self.groups.iter().map(Int8Ensemble::weight_bytes).sum()
     }
 
-    /// Scores `indices` on a flat batch, returning per-member score
-    /// vectors in `indices` order (`None` marks a member whose scores
-    /// came back non-finite).
-    fn member_scores(&self, indices: &[usize], windows: &[f32], n: usize) -> Vec<Option<Vec<f32>>> {
-        // Partition the subset by topology group, preserving each
-        // member's position in `indices` so the reduction order is
-        // identical to the float path.
-        let mut by_group: Vec<(Vec<usize>, Vec<usize>)> =
-            vec![(Vec::new(), Vec::new()); self.groups.len()];
-        for (pos, &i) in indices.iter().enumerate() {
-            let (g, local) = self.member_map[i];
-            by_group[g].0.push(local);
-            by_group[g].1.push(pos);
+    /// Scores `indices` on a flat batch of `n` rows split over up to
+    /// `workers` threads, returning per-member score vectors in
+    /// `indices` order (`None` marks a member whose scores came back
+    /// non-finite on any row).
+    fn member_scores(
+        &self,
+        indices: &[usize],
+        windows: &[f32],
+        n: usize,
+        workers: usize,
+    ) -> Vec<Option<Vec<f32>>> {
+        let workers = workers.min(n / MIN_ROWS_PER_WORKER).max(1);
+        let mut out: Vec<Vec<f32>> = vec![vec![0.0f32; n]; indices.len()];
+
+        // Contiguous row chunks, the first `n % workers` one row longer.
+        // Each chunk owns its rows of the input and of every member's
+        // output vector, so workers write results straight into place.
+        let mut chunks: Vec<(&[f32], Vec<&mut [f32]>)> = Vec::with_capacity(workers);
+        let mut rest_in = windows;
+        let mut rest_out: Vec<&mut [f32]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+        for w in 0..workers {
+            let rows = n / workers + usize::from(w < n % workers);
+            let (chunk_in, tail_in) = rest_in.split_at(rows * self.input_len);
+            rest_in = tail_in;
+            let chunk_out = rest_out
+                .iter_mut()
+                .map(|member| {
+                    let (mine, tail) = std::mem::take(member).split_at_mut(rows);
+                    *member = tail;
+                    mine
+                })
+                .collect();
+            chunks.push((chunk_in, chunk_out));
         }
-        let mut out: Vec<Option<Vec<f32>>> = vec![None; indices.len()];
-        for (g, (locals, positions)) in by_group.into_iter().enumerate() {
-            if locals.is_empty() {
-                continue;
+
+        let run = |w: usize, chunk_in: &[f32], chunk_out: Vec<&mut [f32]>| {
+            let mut scratch = self.scratch[w % self.scratch.len()].lock();
+            self.score_rows(&mut scratch, indices, chunk_in, chunk_out);
+        };
+        let run = &run;
+        crossbeam::thread::scope(|scope| {
+            let mut chunks = chunks.into_iter().enumerate();
+            let (_, (first_in, first_out)) = chunks.next().expect("one chunk");
+            let handles: Vec<_> = chunks
+                .map(|(w, (chunk_in, chunk_out))| scope.spawn(move |_| run(w, chunk_in, chunk_out)))
+                .collect();
+            // The calling thread takes chunk 0 (the only one when serial).
+            run(0, first_in, first_out);
+            for h in handles {
+                h.join().expect("int8 row worker join");
             }
-            let mut scores = vec![0.0f32; locals.len() * n];
-            self.groups[g]
-                .lock()
-                .score_subset_into(&locals, windows, n, &mut scores);
-            for (s, &pos) in positions.iter().enumerate() {
-                let member = scores[s * n..(s + 1) * n].to_vec();
-                out[pos] = member.iter().all(|v| v.is_finite()).then_some(member);
+        })
+        .expect("int8 row scope");
+
+        // The drop decision sees the whole batch, exactly as serially.
+        out.into_iter()
+            .map(|member| member.iter().all(|v| v.is_finite()).then_some(member))
+            .collect()
+    }
+
+    /// Runs every topology group over one row chunk, writing member
+    /// `indices[p]`'s scores into `out[p]`.
+    fn score_rows(
+        &self,
+        scratch: &mut Int8Scratch,
+        indices: &[usize],
+        windows: &[f32],
+        mut out: Vec<&mut [f32]>,
+    ) {
+        let rows = windows.len() / self.input_len;
+        for (g, group) in self.groups.iter().enumerate() {
+            // The group's members in `indices` order, so the reduction
+            // order is identical to the float path.
+            let mut locals = Vec::new();
+            let mut dst: Vec<&mut [f32]> = Vec::new();
+            for (&i, slot) in indices.iter().zip(out.iter_mut()) {
+                let (mg, local) = self.member_map[i];
+                if mg == g {
+                    locals.push(local);
+                    dst.push(slot);
+                }
+            }
+            if !locals.is_empty() {
+                group.score_subset_into(scratch, &locals, windows, rows, &mut dst);
             }
         }
-        out
     }
 }
 
@@ -168,12 +248,14 @@ impl VehiGan {
                         reason: e.to_string(),
                     }
                 })?;
-            groups.push(Mutex::new(fused));
+            groups.push(fused);
         }
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         self.set_int8_backend(Int8Backend {
             groups,
             member_map,
             input_len,
+            scratch: (0..workers).map(|_| Mutex::default()).collect(),
         });
         Ok(())
     }
@@ -183,6 +265,15 @@ impl VehiGan {
     /// with identical subset validation, reduction order, and
     /// degraded-tolerance semantics.
     ///
+    /// The batch's rows are split into contiguous chunks scored in
+    /// parallel on crossbeam scoped threads, one per available core
+    /// (batches under 16 rows, e.g. single-snapshot OBU scoring, stay on
+    /// the calling thread). The result — scores, threshold, `members`
+    /// and `dropped` — is bitwise identical to scoring serially: rows are
+    /// independent, and a member whose scores are non-finite on any row
+    /// is dropped for the whole batch. Safe to call from several threads
+    /// at once.
+    ///
     /// # Errors
     ///
     /// [`EnsembleError::Int8NotCompiled`] before [`VehiGan::compile_int8`];
@@ -191,6 +282,18 @@ impl VehiGan {
         &self,
         indices: &[usize],
         x: &Tensor,
+    ) -> Result<EnsembleScore, EnsembleError> {
+        let workers = self.int8_backend().map_or(1, |b| b.scratch.len());
+        self.score_with_members_int8_split(indices, x, workers)
+    }
+
+    /// [`VehiGan::score_with_members_int8`] with an explicit worker
+    /// count (tests drive the row split directly).
+    fn score_with_members_int8_split(
+        &self,
+        indices: &[usize],
+        x: &Tensor,
+        workers: usize,
     ) -> Result<EnsembleScore, EnsembleError> {
         let backend = self.int8_backend().ok_or(EnsembleError::Int8NotCompiled)?;
         if indices.is_empty() {
@@ -212,7 +315,7 @@ impl VehiGan {
             x.shape(),
             backend.input_len
         );
-        let mut per_member = backend.member_scores(indices, x.as_slice(), n);
+        let mut per_member = backend.member_scores(indices, x.as_slice(), n, workers);
         // Chaos fault injection (see [`VehiGan::chaos_poison_member`]):
         // overwrite the poisoned member's scores with NaN and re-apply
         // the same finiteness filter `member_scores` uses, so the drop
@@ -379,6 +482,156 @@ mod tests {
             assert_eq!(s.len(), 2);
         }
         assert!(subsets.iter().any(|s| s != &subsets[0]));
+    }
+
+    /// Every bit of an ensemble result: scores, threshold, survivors,
+    /// dropped members.
+    fn bits(r: &EnsembleScore) -> (Vec<u32>, u32, Vec<usize>, Vec<usize>) {
+        (
+            r.scores.iter().map(|s| s.to_bits()).collect(),
+            r.threshold.to_bits(),
+            r.members.clone(),
+            r.dropped.clone(),
+        )
+    }
+
+    /// `n` windows mixing benign rows with out-of-range ones that widen
+    /// the per-window activation scales.
+    fn mixed_batch(n: usize) -> Tensor {
+        let mut x = benign(n, 17);
+        for (i, row) in x.as_mut_slice().chunks_mut(120).enumerate() {
+            if i % 5 == 3 {
+                for v in row.iter_mut() {
+                    *v = *v * 40.0 + 3.0;
+                }
+            }
+        }
+        x
+    }
+
+    /// Batch sizes around every chunk boundary of 1–4 workers.
+    const SPLIT_SIZES: [usize; 12] = [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128];
+
+    /// Scores every split size with 1–4 workers and asserts each result
+    /// is bit-for-bit the 1-worker one; returns the 1-worker results.
+    fn assert_split_matches_serial(v: &VehiGan, subset: &[usize]) -> Vec<EnsembleScore> {
+        let x = mixed_batch(128);
+        SPLIT_SIZES
+            .iter()
+            .map(|&n| {
+                let tile = Tensor::from_vec(x.as_slice()[..n * 120].to_vec(), &[n, 10, 12, 1]);
+                let serial = v.score_with_members_int8_split(subset, &tile, 1).unwrap();
+                for workers in 2..=4 {
+                    let split = v
+                        .score_with_members_int8_split(subset, &tile, workers)
+                        .unwrap();
+                    assert_eq!(
+                        bits(&split),
+                        bits(&serial),
+                        "subset {subset:?}, n = {n}, {workers} workers"
+                    );
+                }
+                serial
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_split_is_bitwise_identical_to_serial() {
+        let (v, _train) = compiled_ensemble();
+        for subset in [&[0usize, 1, 2][..], &[1, 2], &[2], &[2, 0]] {
+            for r in assert_split_matches_serial(&v, subset) {
+                assert!(r.dropped.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn row_split_keeps_chaos_poisoning_per_tile() {
+        let (v, _train) = compiled_ensemble();
+        v.chaos_poison_member(1, true);
+        for r in assert_split_matches_serial(&v, &[0, 1, 2]) {
+            assert_eq!(r.members, vec![0, 2]);
+            assert_eq!(r.dropped, vec![1]);
+        }
+        v.chaos_poison_member(1, false);
+        for r in assert_split_matches_serial(&v, &[0, 1, 2]) {
+            assert!(r.dropped.is_empty());
+        }
+    }
+
+    #[test]
+    fn member_non_finite_on_one_row_is_dropped_for_the_whole_tile() {
+        let (mut v, train) = compiled_ensemble();
+        // Blow up member 1's output layer so its scores stay finite on
+        // ordinary rows but overflow on one extreme row.
+        let x = mixed_batch(128);
+        let benign_max = v
+            .score_with_members_int8(&[1], &x)
+            .unwrap()
+            .scores
+            .iter()
+            .fold(0.0f32, |m, s| m.max(s.abs()));
+        let gain = f32::MAX / (16.0 * benign_max.max(1.0));
+        {
+            let critic = v.members_mut()[1].wgan.critic_mut();
+            let mut params = critic.params_mut();
+            let dense_w = params.len() - 2;
+            params[dense_w].value.scale_in_place(gain);
+        }
+        v.compile_int8(&train).unwrap();
+        let mut data = x.as_slice().to_vec();
+        let hot = 70; // beyond the first chunk of every split
+        for val in &mut data[hot * 120..(hot + 1) * 120] {
+            *val = *val * 1e4 + 1e4;
+        }
+        let hot_batch = Tensor::from_vec(data, &[128, 10, 12, 1]);
+        let cold = v.score_with_members_int8_split(&[0, 1, 2], &x, 1).unwrap();
+        assert!(
+            cold.dropped.is_empty(),
+            "member 1 is finite on ordinary rows"
+        );
+        let serial = v
+            .score_with_members_int8_split(&[0, 1, 2], &hot_batch, 1)
+            .unwrap();
+        assert_eq!(
+            serial.dropped,
+            vec![1],
+            "the hot row overflows member 1 only"
+        );
+        assert_eq!(serial.members, vec![0, 2]);
+        for workers in 2..=4 {
+            let split = v
+                .score_with_members_int8_split(&[0, 1, 2], &hot_batch, workers)
+                .unwrap();
+            assert_eq!(bits(&split), bits(&serial), "{workers} workers");
+        }
+    }
+
+    fn assert_sync<T: Sync>() {}
+
+    #[test]
+    fn concurrent_callers_share_one_backend_soundly() {
+        assert_sync::<VehiGan>();
+        assert_sync::<Int8Ensemble>();
+        let (v, _train) = compiled_ensemble();
+        let x = mixed_batch(128);
+        let want = bits(&v.score_with_members_int8_split(&[0, 1, 2], &x, 1).unwrap());
+        std::thread::scope(|s| {
+            let callers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        for _ in 0..8 {
+                            let r = v.score_with_members_int8(&[0, 1, 2], &x).unwrap();
+                            assert_eq!(bits(&r), want);
+                        }
+                    })
+                })
+                .collect();
+            for c in callers {
+                c.join().unwrap();
+            }
+        });
     }
 
     #[test]

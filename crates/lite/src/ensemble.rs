@@ -300,9 +300,15 @@ unsafe fn dequant_window_avx512(
     }
 }
 
-/// Reusable runtime buffers (grow once, steady state allocates nothing).
+/// Caller-owned activation scratch for [`Int8Ensemble`] scoring.
+///
+/// The compiled ensemble is immutable (`&self` scoring, `Sync`); every
+/// buffer a forward pass writes lives here instead, so concurrent callers
+/// each bring their own. Buffers grow to the largest batch and topology
+/// they have served and are reused afterwards — steady state allocates
+/// nothing. One scratch may serve any number of ensembles in turn.
 #[derive(Default)]
-struct Scratch {
+pub struct Int8Scratch {
     /// Quantized activations, member-major.
     q: Vec<i8>,
     /// im2col gather, member-major.
@@ -327,12 +333,15 @@ fn grown<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
 
 /// A compiled fused int8 multi-member ensemble scorer.
 ///
+/// Immutable once compiled: scoring takes `&self` plus a caller-owned
+/// [`Int8Scratch`], so one ensemble is shared by any number of threads.
+///
 /// # Examples
 ///
 /// ```
 /// use vehigan_tensor::{Sequential, Init, init::seeded_rng};
 /// use vehigan_tensor::layers::{Conv2D, Padding, Activation, Flatten, Dense};
-/// use vehigan_lite::Int8Ensemble;
+/// use vehigan_lite::{Int8Ensemble, Int8Scratch};
 ///
 /// let mut members = Vec::new();
 /// for seed in 0..3u64 {
@@ -346,10 +355,12 @@ fn grown<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
 /// }
 /// let snaps: Vec<&_> = members.iter().collect();
 /// let calibration = vec![0.1f32; 4 * 120]; // 4 representative windows
-/// let mut fused = Int8Ensemble::compile(&snaps, (10, 12, 1), &calibration)?;
+/// let fused = Int8Ensemble::compile(&snaps, (10, 12, 1), &calibration)?;
+/// let mut scratch = Int8Scratch::default();
 /// let window = vec![0.0f32; 120];
 /// let mut scores = vec![0.0f32; 3];
-/// fused.score_subset_into(&[0, 1, 2], &window, 1, &mut scores);
+/// let mut per_member: Vec<&mut [f32]> = scores.chunks_mut(1).collect();
+/// fused.score_subset_into(&mut scratch, &[0, 1, 2], &window, 1, &mut per_member);
 /// assert!(scores.iter().all(|s| s.is_finite()));
 /// # Ok::<(), vehigan_lite::CompileError>(())
 /// ```
@@ -357,7 +368,6 @@ pub struct Int8Ensemble {
     ops: Vec<FusedOp>,
     members: usize,
     input_len: usize,
-    scratch: Scratch,
 }
 
 impl std::fmt::Debug for Int8Ensemble {
@@ -531,7 +541,6 @@ impl Int8Ensemble {
             ops,
             members: snaps.len(),
             input_len,
-            scratch: Scratch::default(),
         };
         this.calibrate(calibration)?;
         // Calibration done — drop the dequantized float copies.
@@ -623,23 +632,31 @@ impl Int8Ensemble {
 
     /// Raw critic outputs `D(x)` for a batch through a member subset.
     ///
-    /// `windows` holds `n` flat snapshots; `out` receives member-major
-    /// results: `out[s·n + i]` is subset member `s`'s output on snapshot
-    /// `i`. Each layer is one fused GEMM over every subset member's
-    /// packed weights.
+    /// `windows` holds `n` flat snapshots; `out` holds one slice of `n`
+    /// per subset member: `out[s][i]` is subset member `s`'s output on
+    /// snapshot `i`. Each layer is one fused GEMM over every subset
+    /// member's packed weights; every intermediate buffer lives in
+    /// `scratch`.
+    ///
+    /// Rows are independent: a snapshot's output depends only on that
+    /// snapshot (its activation scales are per window and the integer
+    /// GEMM is exact), so scoring a batch in row chunks reproduces the
+    /// whole-batch result bit for bit.
     ///
     /// # Panics
     ///
     /// Panics on length mismatches or an out-of-range member index.
     pub fn infer_subset_into(
-        &mut self,
+        &self,
+        scratch: &mut Int8Scratch,
         subset: &[usize],
         windows: &[f32],
         n: usize,
-        out: &mut [f32],
+        out: &mut [&mut [f32]],
     ) {
         assert_eq!(windows.len(), n * self.input_len, "windows length mismatch");
-        assert_eq!(out.len(), subset.len() * n, "output length mismatch");
+        assert_eq!(out.len(), subset.len(), "one output slice per member");
+        assert!(out.iter().all(|o| o.len() == n), "output length mismatch");
         for &g in subset {
             assert!(g < self.members, "member {g} out of range");
         }
@@ -655,12 +672,12 @@ impl Int8Ensemble {
             .map(|op| (op.in_len().max(op.out_len())) * n)
             .max()
             .expect("at least one op");
-        let act_cur = grown(&mut self.scratch.act_a, gsel * max_len);
+        let act_cur = grown(&mut scratch.act_a, gsel * max_len);
         // Seed every member's slab with the shared input.
         for s in 0..gsel {
             act_cur[s * max_len..s * max_len + windows.len()].copy_from_slice(windows);
         }
-        let act_nxt = grown(&mut self.scratch.act_b, gsel * max_len);
+        let act_nxt = grown(&mut scratch.act_b, gsel * max_len);
 
         let (mut cur, mut nxt) = (act_cur, act_nxt);
         for (oi, op) in self.ops.iter().enumerate() {
@@ -676,7 +693,7 @@ impl Int8Ensemble {
             // (attacks!) widen their step instead of clipping. A window's
             // scale depends only on that window and the member, so scores
             // are independent of what else is in the batch.
-            let eff = grown(&mut self.scratch.eff, gsel * n);
+            let eff = grown(&mut scratch.eff, gsel * n);
             for (s, &g) in subset.iter().enumerate() {
                 let floor = op.members()[g].in_scale;
                 for i in 0..n {
@@ -727,13 +744,13 @@ impl Int8Ensemble {
                     pad_left,
                     ..
                 } => {
-                    let col = grown(&mut self.scratch.col, gsel * rows * kk);
+                    let col = grown(&mut scratch.col, gsel * rows * kk);
                     if oi == 0 {
                         // Shared input: every member sees the same windows
                         // and the same layer-0 scale (identical calibrated
                         // floor, identical range guard), so one quantize +
                         // one gather feed the whole fused GEMM.
-                        let q = grown(&mut self.scratch.q, in_len);
+                        let q = grown(&mut scratch.q, in_len);
                         for i in 0..n {
                             quantize_activations(
                                 &cur[i * in_per..(i + 1) * in_per],
@@ -755,7 +772,7 @@ impl Int8Ensemble {
                         );
                         &col[..rows * kk]
                     } else {
-                        let q = grown(&mut self.scratch.q, gsel * in_len);
+                        let q = grown(&mut scratch.q, gsel * in_len);
                         for s in 0..gsel {
                             for i in 0..n {
                                 quantize_activations(
@@ -783,7 +800,7 @@ impl Int8Ensemble {
                     }
                 }
                 FusedOp::Dense { .. } => {
-                    let q = grown(&mut self.scratch.q, gsel * in_len);
+                    let q = grown(&mut scratch.q, gsel * in_len);
                     for s in 0..gsel {
                         for i in 0..n {
                             quantize_activations(
@@ -793,13 +810,13 @@ impl Int8Ensemble {
                             );
                         }
                     }
-                    &self.scratch.q[..gsel * in_len]
+                    &scratch.q[..gsel * in_len]
                 }
             };
 
             // One fused GEMM over every deployed member's packed weights.
             let packs: Vec<&PackedI8> = subset.iter().map(|&g| &op.members()[g].pack).collect();
-            let acc = grown(&mut self.scratch.acc, gsel * out_per);
+            let acc = grown(&mut scratch.acc, gsel * out_per);
             for v in acc.iter_mut() {
                 *v = 0;
             }
@@ -810,7 +827,7 @@ impl Int8Ensemble {
             // are hoisted per window; `dequant_window` dispatches to an
             // AVX-512 mirror that is bitwise identical to the portable loop.
             let per_win = rows / n;
-            let mult = grown(&mut self.scratch.mult, op.out_len() / per_win);
+            let mult = grown(&mut scratch.mult, op.out_len() / per_win);
             for (s, &g) in subset.iter().enumerate() {
                 let m = &op.members()[g];
                 let cout = m.bias.len();
@@ -831,35 +848,41 @@ impl Int8Ensemble {
         }
 
         // Final op produced one scalar per snapshot per member.
-        for s in 0..gsel {
-            out[s * n..(s + 1) * n].copy_from_slice(&cur[s * max_len..s * max_len + n]);
+        for (s, dst) in out.iter_mut().enumerate() {
+            dst.copy_from_slice(&cur[s * max_len..s * max_len + n]);
         }
     }
 
     /// Anomaly scores `s(x) = −D(x)` for a batch through a member subset
-    /// (member-major, like [`Int8Ensemble::infer_subset_into`]).
+    /// (one output slice per member, like
+    /// [`Int8Ensemble::infer_subset_into`]).
     ///
     /// # Panics
     ///
     /// Same as [`Int8Ensemble::infer_subset_into`].
     pub fn score_subset_into(
-        &mut self,
+        &self,
+        scratch: &mut Int8Scratch,
         subset: &[usize],
         windows: &[f32],
         n: usize,
-        out: &mut [f32],
+        out: &mut [&mut [f32]],
     ) {
-        self.infer_subset_into(subset, windows, n, out);
-        for v in out.iter_mut() {
+        self.infer_subset_into(scratch, subset, windows, n, out);
+        for v in out.iter_mut().flat_map(|o| o.iter_mut()) {
             *v = -*v;
         }
     }
 
-    /// Convenience: anomaly scores for all members, member-major.
-    pub fn score_all(&mut self, windows: &[f32], n: usize) -> Vec<f32> {
+    /// Convenience: anomaly scores for all members, member-major
+    /// (`out[g·n + i]`), through a fresh scratch.
+    pub fn score_all(&self, windows: &[f32], n: usize) -> Vec<f32> {
         let subset: Vec<usize> = (0..self.members).collect();
         let mut out = vec![0.0f32; self.members * n];
-        self.score_subset_into(&subset, windows, n, &mut out);
+        if n > 0 {
+            let mut outs: Vec<&mut [f32]> = out.chunks_mut(n).collect();
+            self.score_subset_into(&mut Int8Scratch::default(), &subset, windows, n, &mut outs);
+        }
         out
     }
 }
@@ -919,7 +942,7 @@ mod tests {
     #[test]
     fn fused_scores_track_float_reference() {
         let calibration = random_windows(16, 7);
-        let (mut fused, mut floats) = compile_fused(4, 3, &calibration);
+        let (fused, mut floats) = compile_fused(4, 3, &calibration);
         let n = 8;
         let windows = random_windows(n, 11);
         let scores = fused.score_all(&windows, n);
@@ -941,14 +964,15 @@ mod tests {
     #[test]
     fn subset_scoring_is_bitwise_consistent_with_full_run() {
         let calibration = random_windows(8, 3);
-        let (mut fused, _floats) = compile_fused(5, 4, &calibration);
+        let (fused, _floats) = compile_fused(5, 4, &calibration);
         let n = 3;
         let windows = random_windows(n, 21);
         let all = fused.score_all(&windows, n);
         // Every subset, in any order, reproduces the full run bitwise.
         for subset in [&[2usize][..], &[3, 0], &[1, 3, 2]] {
             let mut out = vec![0.0f32; subset.len() * n];
-            fused.score_subset_into(subset, &windows, n, &mut out);
+            let mut outs: Vec<&mut [f32]> = out.chunks_mut(n).collect();
+            fused.score_subset_into(&mut Int8Scratch::default(), subset, &windows, n, &mut outs);
             for (s, &g) in subset.iter().enumerate() {
                 for i in 0..n {
                     assert_eq!(
@@ -964,7 +988,7 @@ mod tests {
     #[test]
     fn repeated_runs_are_bitwise_deterministic() {
         let calibration = random_windows(8, 5);
-        let (mut fused, _floats) = compile_fused(4, 2, &calibration);
+        let (fused, _floats) = compile_fused(4, 2, &calibration);
         let windows = random_windows(4, 9);
         let a = fused.score_all(&windows, 4);
         let b = fused.score_all(&windows, 4);
@@ -986,7 +1010,7 @@ mod tests {
     #[test]
     fn batch_and_single_snapshot_agree() {
         let calibration = random_windows(8, 13);
-        let (mut fused, _floats) = compile_fused(4, 2, &calibration);
+        let (fused, _floats) = compile_fused(4, 2, &calibration);
         let n = 5;
         let windows = random_windows(n, 17);
         let batch = fused.score_all(&windows, n);
@@ -1000,6 +1024,29 @@ mod tests {
                     "member {g} snapshot {i}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn one_scratch_serves_ensembles_of_any_topology_and_batch() {
+        let calibration = random_windows(8, 19);
+        let (deep, _) = compile_fused(5, 3, &calibration);
+        let (shallow, _) = compile_fused(3, 2, &calibration);
+        let windows = random_windows(6, 23);
+        let mut scratch = Int8Scratch::default();
+        // Interleave topologies and batch sizes through one scratch: stale
+        // contents from a larger or deeper pass must never leak.
+        for (fused, n) in [(&deep, 6), (&shallow, 2), (&deep, 1), (&shallow, 6)] {
+            let windows = &windows[..n * H * W];
+            let mut out = vec![0.0f32; fused.members() * n];
+            let mut outs: Vec<&mut [f32]> = out.chunks_mut(n).collect();
+            let subset: Vec<usize> = (0..fused.members()).collect();
+            fused.score_subset_into(&mut scratch, &subset, windows, n, &mut outs);
+            let fresh = fused.score_all(windows, n);
+            assert_eq!(
+                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                fresh.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
         }
     }
 
